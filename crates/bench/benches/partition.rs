@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the partitioned execution path: chunked vs
-//! monolithic GNN forward, the blocked gemm tile sweep, and the tensor
-//! pool hit rate under streaming inference.
+//! monolithic GNN forward and the tensor pool hit rate under streaming
+//! inference.
 //!
 //! All knobs are restored after each section so suites stay independent.
 
@@ -9,8 +9,6 @@ use tp_data::{Dataset, DatasetConfig, DesignGraph};
 use tp_gen::GeneratorConfig;
 use tp_gnn::{ModelConfig, PropPlan, TimingGnn};
 use tp_liberty::Library;
-use tp_rng::StdRng;
-use tp_tensor::Tensor;
 
 fn design(scale: f64) -> DesignGraph {
     let library = Library::synthetic_sky130(1);
@@ -45,22 +43,6 @@ fn bench_chunked_forward(suite: &mut Suite, d: &DesignGraph) {
         });
     }
     tp_partition::clear_partition_nodes();
-}
-
-/// Tile-size sweep over the blocked gemm kernel; every configuration
-/// computes bit-identical output, so this isolates pure cache behavior.
-fn bench_gemm_tiles(suite: &mut Suite) {
-    let mut rng = StdRng::seed_from_u64(7);
-    let (m, k, n) = (512usize, 256, 128);
-    let a = Tensor::randn(&[m, k], 0.0, 1.0, &mut rng);
-    let b = Tensor::randn(&[k, n], 0.0, 1.0, &mut rng);
-    for (tile_k, tile_j) in [(16usize, 16usize), (64, 64), (128, 64), (4096, 4096)] {
-        tp_tensor::set_gemm_tiles(tile_k, tile_j);
-        suite.bench(&format!("gemm_512x256x128/k{tile_k}_j{tile_j}"), || {
-            a.matmul(&b)
-        });
-    }
-    tp_tensor::set_gemm_tiles(0, 0);
 }
 
 /// Steady-state pool hit rate of a chunked forward: after a warm-up pass
@@ -98,7 +80,6 @@ fn main() {
     let d = design(0.02);
     let mut suite = Suite::new("partition");
     bench_chunked_forward(&mut suite, &d);
-    bench_gemm_tiles(&mut suite);
     bench_pool_hit_rate(&mut suite, &d);
     suite.finish();
 }

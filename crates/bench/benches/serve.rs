@@ -50,8 +50,6 @@ fn main() {
         queue_depth: 64,
         deadline_ms: 60_000,
         snapshot_dir: None,
-        batch_window_us: 0,
-        batch_max: 16,
         lib_seed: 0,
         model_config: model_config.clone(),
         faults: FaultPlan::none(),

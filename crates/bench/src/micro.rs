@@ -161,10 +161,9 @@ impl Suite {
     ///
     /// Delegates to [`tp_obs::export::bench_json`], the single source of
     /// truth for the `BENCH_*.json` schema. The config echo records the
-    /// knobs every number depends on: `TP_SCALE`, `TP_PARTITION_NODES`
-    /// (effective value, env or override) and the gemm tile sizes.
+    /// knobs every number depends on: `TP_SCALE` and `TP_PARTITION_NODES`
+    /// (effective value, env or override).
     pub fn to_json(&self) -> String {
-        let (tile_k, tile_j) = tp_tensor::gemm_tiles();
         let config = vec![
             (
                 "tp_scale".to_string(),
@@ -174,8 +173,6 @@ impl Suite {
                 "tp_partition_nodes".to_string(),
                 tp_partition::partition_nodes().to_string(),
             ),
-            ("tp_gemm_tile_k".to_string(), tile_k.to_string()),
-            ("tp_gemm_tile_j".to_string(), tile_j.to_string()),
         ];
         let entries: Vec<tp_obs::export::BenchEntry> = self
             .results

@@ -129,11 +129,11 @@ impl Propagation {
         self.forward_traced(design, plan, embedding).0
     }
 
-    /// One level's state block, shared verbatim between the monolithic,
-    /// partitioned-training and streamed paths — partitioning must never
-    /// change arithmetic, only residency, so all three run exactly this op
-    /// sequence. Returns the block and, when the level has cell arcs, the
-    /// concatenated cell messages (input of the cell-delay head).
+    /// One level's state block, shared verbatim between the monolithic
+    /// and streamed paths — partitioning must never change arithmetic,
+    /// only residency, so both run exactly this op sequence. Returns the
+    /// block and, when the level has cell arcs, the concatenated cell
+    /// messages (input of the cell-delay head).
     ///
     /// `blocks[sl]` must be `Some` for every source level `sl` this level
     /// reads — the partition plan's `last_use` guarantees it on the
@@ -227,11 +227,6 @@ impl Propagation {
     /// blocks and init projection for the incremental engine.
     ///
     /// Keeps every block resident (the autograd graph needs them anyway).
-    /// Under a positive partition budget the walk is grouped into chunk
-    /// spans, level tensors draw from the buffer pool, and the final
-    /// assembly uses the fused [`Tensor::assemble_rows`] instead of
-    /// materializing the `[N, prop_dim]` concatenation — all bit-identical
-    /// to the monolithic path.
     pub(crate) fn forward_traced(
         &self,
         design: &DesignGraph,
@@ -239,52 +234,26 @@ impl Propagation {
         embedding: &Tensor,
     ) -> (PropOutput, PropTrace) {
         let _prop_span = tp_obs::span!("levelized_prop", levels = plan.num_levels());
-        let budget = tp_partition::partition_nodes();
-        let _pool = (budget > 0).then(tp_tensor::pool::scope);
         let x0 = self
             .init
             .forward(&Tensor::concat_cols(&[&design.pin_features, embedding]));
 
         let mut blocks: Vec<Option<Tensor>> = Vec::with_capacity(plan.num_levels());
         let mut edge_msgs: Vec<Tensor> = Vec::new();
-        let step = |l: usize, blocks: &mut Vec<Option<Tensor>>, msgs: &mut Vec<Tensor>| {
-            let (b, m) = self.compute_level(design, &plan.levels[l], l, &x0, blocks);
+        for (l, lp) in plan.levels.iter().enumerate() {
+            let (b, m) = self.compute_level(design, lp, l, &x0, &blocks);
             if let Some(m) = m {
-                msgs.push(m);
+                edge_msgs.push(m);
             }
             blocks.push(Some(b));
-        };
-        if budget == 0 {
-            for l in 0..plan.num_levels() {
-                step(l, &mut blocks, &mut edge_msgs);
-            }
-        } else {
-            let pplan =
-                tp_partition::PartitionPlan::by_max_nodes(&plan.level_graph(), budget);
-            pplan.publish("gnn.partition");
-            for (ci, chunk) in pplan.chunks().iter().enumerate() {
-                let _chunk_span = tp_obs::span!(
-                    "prop_chunk",
-                    chunk = ci,
-                    levels = chunk.levels.len(),
-                    nodes = chunk.nodes,
-                );
-                for l in chunk.levels.clone() {
-                    step(l, &mut blocks, &mut edge_msgs);
-                }
-            }
         }
         let blocks: Vec<Tensor> = blocks
             .into_iter()
-            .map(|b| b.expect("training path keeps every block"))
+            .map(|b| b.expect("traced path keeps every block"))
             .collect();
 
         let refs: Vec<&Tensor> = blocks.iter().collect();
-        let states = if budget == 0 {
-            Tensor::concat_rows(&refs).gather_rows(&plan.assemble)
-        } else {
-            Tensor::assemble_rows(&refs, &plan.assemble)
-        };
+        let states = Tensor::concat_rows(&refs).gather_rows(&plan.assemble);
         let atslew = self.atslew_head.forward(&states);
         let cell_delay = if edge_msgs.is_empty() {
             Tensor::zeros(&[0, 4])

@@ -671,9 +671,6 @@ impl Trainer {
     /// step against divergence, and (optionally) checkpoints periodically.
     pub fn fit_with(&mut self, dataset: &Dataset, options: &FitOptions) -> TrainReport {
         let fit_t0 = Instant::now();
-        // Under a partition budget, keep one pool scope open for the whole
-        // fit so level-block buffers recycle across steps and epochs.
-        let _pool = (tp_partition::partition_nodes() > 0).then(tp_tensor::pool::scope);
         let mut report = TrainReport {
             resumed_from_epoch: self.start_epoch,
             ..TrainReport::default()
@@ -808,7 +805,6 @@ impl Trainer {
         // resume repositions it.
         self.start_epoch = 0;
         report.total_seconds = fit_t0.elapsed().as_secs_f64();
-        tp_partition::publish_pool_stats();
         report
     }
 

@@ -11,16 +11,15 @@
 //! must stay resident because a later chunk still reads them. Everything
 //! else is releasable the moment its last reader chunk finishes.
 //!
-//! The partition is *pure scheduling metadata*. Executors (tp-gnn's
-//! streaming propagation, tp-sta's chunked sweeps) walk levels in exactly
-//! the same order at any chunk size — the plan only tells them where chunk
-//! boundaries fall and what may be freed — which is how the workspace's
-//! bit-identity contract survives partitioning: `TP_PARTITION_NODES=0`
-//! (monolithic) and any positive budget produce the same bits.
+//! The partition is *pure scheduling metadata*. Its one executor, tp-gnn's
+//! streamed no-grad propagation, walks levels in exactly the same order at
+//! any chunk size — the plan only tells it where chunk boundaries fall and
+//! what may be freed — which is how the workspace's bit-identity contract
+//! survives partitioning: `TP_PARTITION_NODES=0` (monolithic) and any
+//! positive budget produce the same bits.
 //!
 //! The crate sits just above `tp-tensor` (whose buffer pool it reports on)
-//! and `tp-obs` (where it publishes chunk/frontier/pool gauges), so both
-//! tp-gnn and tp-sta can depend on it without cycles.
+//! and `tp-obs` (where it publishes chunk/frontier/pool gauges).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,15 +47,6 @@ impl LevelGraph {
             assert!(d < n, "dependency level {d} out of range {n}");
         }
         LevelGraph { level_nodes, deps }
-    }
-
-    /// A level graph with no recorded cross-level dependencies (used where
-    /// state is flat arrays and nothing is ever released, e.g. STA sweeps).
-    pub fn from_level_sizes(level_nodes: Vec<usize>) -> LevelGraph {
-        LevelGraph {
-            level_nodes,
-            deps: Vec::new(),
-        }
     }
 
     /// Number of levels.
@@ -130,19 +120,6 @@ impl PartitionPlan {
         PartitionPlan::from_boundaries(graph, &boundaries, max_nodes)
     }
 
-    /// Fixed-width packing: every chunk spans `levels_per_chunk` levels
-    /// (the last may be shorter). `0` is treated as "whole graph". Test
-    /// and bench hook for exercising exact chunk shapes.
-    pub fn by_levels_per_chunk(graph: &LevelGraph, levels_per_chunk: usize) -> PartitionPlan {
-        let n = graph.num_levels();
-        let w = if levels_per_chunk == 0 { n.max(1) } else { levels_per_chunk };
-        let mut boundaries: Vec<usize> = (1..=n / w.max(1)).map(|i| i * w).collect();
-        if boundaries.last() != Some(&n) && n > 0 {
-            boundaries.push(n);
-        }
-        PartitionPlan::from_boundaries(graph, &boundaries, 0)
-    }
-
     /// `boundaries` are the exclusive end levels of each chunk, ascending,
     /// ending at `num_levels`.
     fn from_boundaries(graph: &LevelGraph, boundaries: &[usize], budget: usize) -> PartitionPlan {
@@ -206,11 +183,6 @@ impl PartitionPlan {
         &self.chunks
     }
 
-    /// Whether the plan is a single chunk (equivalent to no partitioning).
-    pub fn is_monolithic(&self) -> bool {
-        self.chunks.len() <= 1
-    }
-
     /// The highest level that reads level `l`'s state.
     pub fn last_use(&self, l: usize) -> usize {
         self.last_use[l]
@@ -226,7 +198,7 @@ impl PartitionPlan {
         self.max_live_nodes
     }
 
-    /// The node budget this plan was built with (0 for fixed-width plans).
+    /// The node budget this plan was built with.
     pub fn budget(&self) -> usize {
         self.budget
     }
@@ -316,7 +288,6 @@ mod tests {
     fn budget_zero_is_monolithic() {
         let g = chain(&[5, 7, 3]);
         let p = PartitionPlan::by_max_nodes(&g, 0);
-        assert!(p.is_monolithic());
         assert_eq!(p.chunks().len(), 1);
         assert_eq!(p.chunks()[0].levels, 0..3);
         assert_eq!(p.chunks()[0].nodes, 15);
@@ -346,7 +317,8 @@ mod tests {
     #[test]
     fn chain_frontier_is_previous_level_only() {
         let g = chain(&[3, 5, 7, 9]);
-        let p = PartitionPlan::by_levels_per_chunk(&g, 1);
+        // Budget 1 puts every level in a chunk of its own.
+        let p = PartitionPlan::by_max_nodes(&g, 1);
         let frontiers: Vec<usize> = p.chunks().iter().map(|c| c.frontier_nodes).collect();
         // chunk l's frontier is exactly level l-1 (its only live reader input)
         assert_eq!(frontiers, vec![0, 3, 5, 7]);
@@ -357,7 +329,8 @@ mod tests {
     fn long_range_dep_extends_residency() {
         // level 0 read by level 3: it must survive chunks 0..=3
         let g = LevelGraph::new(vec![10, 1, 1, 1], vec![(0, 3), (1, 2), (2, 3)]);
-        let p = PartitionPlan::by_levels_per_chunk(&g, 1);
+        let p = PartitionPlan::by_max_nodes(&g, 1);
+        assert_eq!(p.chunks().len(), 4);
         assert_eq!(p.last_use(0), 3);
         assert_eq!(p.chunks()[3].frontier_nodes, 10 + 1);
         assert!(p.release_after(0).is_empty());
@@ -368,7 +341,10 @@ mod tests {
     fn release_lists_cover_every_level_once() {
         let g = LevelGraph::new(vec![2; 7], vec![(0, 6), (1, 2), (2, 4), (3, 4), (4, 5), (5, 6)]);
         for width in 1..=7 {
-            let p = PartitionPlan::by_levels_per_chunk(&g, width);
+            // Two nodes per level: a budget of 2·width packs exactly
+            // `width` levels per chunk (the last may be shorter).
+            let p = PartitionPlan::by_max_nodes(&g, 2 * width);
+            assert_eq!(p.chunks().len(), 7usize.div_ceil(width), "width {width}");
             let mut released: Vec<usize> = (0..p.chunks().len())
                 .flat_map(|c| p.release_after(c).to_vec())
                 .collect();
@@ -390,7 +366,7 @@ mod tests {
         for plan in [
             PartitionPlan::by_max_nodes(&g, 1),
             PartitionPlan::by_max_nodes(&g, 0),
-            PartitionPlan::by_levels_per_chunk(&g, 3),
+            PartitionPlan::by_max_nodes(&g, 100),
         ] {
             assert_eq!(plan.chunks().len(), 1);
             assert_eq!(plan.chunks()[0].nodes, 42);
@@ -413,8 +389,8 @@ mod tests {
     #[test]
     fn disconnected_levels_release_immediately() {
         // no deps at all: every level's last use is itself
-        let g = LevelGraph::from_level_sizes(vec![3, 3, 3]);
-        let p = PartitionPlan::by_levels_per_chunk(&g, 1);
+        let g = LevelGraph::new(vec![3, 3, 3], vec![]);
+        let p = PartitionPlan::by_max_nodes(&g, 3);
         for c in 0..3 {
             assert_eq!(p.chunks()[c].frontier_nodes, 0);
             assert_eq!(p.release_after(c), &[c]);

@@ -6,9 +6,9 @@
 //! predictions other tools are blocking on. This crate is that hardening
 //! layer (DESIGN.md §10), std-only like the rest of the workspace:
 //!
-//! - **Wire protocol** ([`protocol`]) — line-delimited JSON over TCP; a
-//!   hand-rolled, depth-bounded, panic-free parser ([`json`]) decodes
-//!   requests, and replies render through `tp-obs`'s deterministic JSON
+//! - **Wire protocol** ([`protocol`]) — line-delimited JSON over TCP;
+//!   `tp-obs`'s depth-bounded, panic-free parser (re-exported as [`json`])
+//!   decodes requests, and replies render through its deterministic JSON
 //!   emitters so identical session state yields identical reply *bytes*.
 //! - **Snapshots** ([`snapshot`]) — requests compute against an immutable
 //!   `Arc<ModelSnapshot>`; hot-swap stages a checkpoint into a fresh model
@@ -18,7 +18,8 @@
 //! - **Sessions** ([`session`]) — per-design [`tp_gnn::IncrementalGnn`]
 //!   engines answer ECO `move_pins` edits by re-predicting only the dirty
 //!   cone, bit-identical to a full forward pass.
-//! - **Server** ([`server`]) — thread-per-connection with bounded
+//! - **Server** ([`server`]) — thread-per-connection, every request
+//!   executing inline on its connection thread, with bounded
 //!   admission (`overloaded` replies beyond `TP_SERVE_QUEUE` in-flight
 //!   requests), EWMA-scaled per-request deadlines (`TP_REQ_DEADLINE_MS`
 //!   floor; 0 disables deadlines), per-request panic isolation with
@@ -28,12 +29,7 @@
 //! - **Registry** ([`registry`]) — the wire `register` op ships design
 //!   parameters over JSONL; builds are cached under a content hash so
 //!   re-registration and duplicate designs are free (DESIGN.md §12).
-//! - **Batching** ([`batch`]) — a bounded coalescing window
-//!   (`TP_BATCH_WINDOW_US` / `TP_BATCH_MAX`) gathers concurrent
-//!   batchable requests across designs into one dispatch; replies stay
-//!   bit-identical to serial execution (DESIGN.md §12).
 
-pub(crate) mod batch;
 pub mod client;
 pub mod json;
 pub mod protocol;

@@ -41,7 +41,6 @@ use tp_par::CostModel;
 use tp_place::Placement;
 use tp_rng::StdRng;
 
-use crate::batch::{dispatch_loop, BatchItem, BatchQueue};
 use crate::protocol::{self, error_kind, f32_array, Envelope, Request};
 use crate::registry::DesignRegistry;
 use crate::session::DesignSession;
@@ -71,12 +70,6 @@ pub struct ServeConfig {
     /// entirely** — no EWMA floor is armed either; use for soak runs on
     /// slow boxes where wall-clock is meaningless.
     pub deadline_ms: u64,
-    /// Coalescing window for batchable requests, in microseconds
-    /// (`TP_BATCH_WINDOW_US`, default 0 = batching off, every request
-    /// executes inline on its connection thread).
-    pub batch_window_us: u64,
-    /// Most requests one batch may coalesce (`TP_BATCH_MAX`, default 16).
-    pub batch_max: usize,
     /// Seed for the synthetic library the `register` op builds designs
     /// against (`TP_SERVE_LIB_SEED`, default 0). Clients comparing
     /// against in-process builds must use the same seed.
@@ -98,9 +91,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Reads `TP_SERVE_ADDR` / `TP_SERVE_QUEUE` / `TP_REQ_DEADLINE_MS`
-    /// (0 = deadlines disabled) / `TP_BATCH_WINDOW_US` / `TP_BATCH_MAX` /
-    /// `TP_SERVE_LIB_SEED` / `TP_SERVE_OBS_OUT`, with documented
-    /// defaults.
+    /// (0 = deadlines disabled) / `TP_SERVE_LIB_SEED` / `TP_SERVE_OBS_OUT`,
+    /// with documented defaults.
     pub fn from_env(model_config: ModelConfig) -> ServeConfig {
         let parse_u64 = |var: &str, default: u64| {
             std::env::var(var)
@@ -113,8 +105,6 @@ impl ServeConfig {
             queue_depth: parse_u64("TP_SERVE_QUEUE", 32).max(1) as usize,
             // 0 is meaningful (deadlines disabled), so no .max(1) floor.
             deadline_ms: parse_u64("TP_REQ_DEADLINE_MS", 2_000),
-            batch_window_us: parse_u64("TP_BATCH_WINDOW_US", 0),
-            batch_max: parse_u64("TP_BATCH_MAX", 16).max(1) as usize,
             lib_seed: parse_u64("TP_SERVE_LIB_SEED", 0),
             snapshot_dir: None,
             model_config,
@@ -167,7 +157,6 @@ struct ServerInner {
     store: SnapshotStore,
     sessions: Mutex<BTreeMap<String, Arc<SessionSlot>>>,
     registry: DesignRegistry,
-    batch: Option<BatchQueue>,
     inflight: AtomicUsize,
     draining: AtomicBool,
     counters: Counters,
@@ -224,36 +213,15 @@ impl Server {
         let store = SnapshotStore::new(config.model_config.clone(), initial, "seed")
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let registry = DesignRegistry::new(config.lib_seed);
-        let batch = if config.batch_window_us > 0 {
-            Some(BatchQueue::new())
-        } else {
-            None
-        };
-        let (batch_queue, batch_rx) = match batch {
-            Some((queue, rx)) => (Some(queue), Some(rx)),
-            None => (None, None),
-        };
         let inner = Arc::new(ServerInner {
             config,
             store,
             sessions: Mutex::new(BTreeMap::new()),
             registry,
-            batch: batch_queue,
             inflight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             counters: Counters::default(),
         });
-        if let Some(rx) = batch_rx {
-            let window = Duration::from_micros(inner.config.batch_window_us);
-            let max = inner.config.batch_max;
-            let batch_inner = Arc::clone(&inner);
-            let handle = std::thread::spawn(move || {
-                dispatch_loop(rx, window, max, |items| execute_batch(&batch_inner, items));
-            });
-            if let Some(queue) = &inner.batch {
-                queue.set_handle(handle);
-            }
-        }
         let accept_inner = Arc::clone(&inner);
         let accept = std::thread::spawn(move || accept_loop(accept_inner, listener));
         Ok(Server {
@@ -327,13 +295,6 @@ impl Server {
 
     fn drain(&mut self) {
         self.inner.draining.store(true, Ordering::Release);
-        // Flush the coalescing queue first: connection threads may be
-        // blocked waiting on batched replies, and the acceptor join below
-        // waits on those threads. close() executes everything already
-        // submitted, so no request is dropped by the drain.
-        if let Some(queue) = &self.inner.batch {
-            queue.close();
-        }
         if let Some(accept) = self.accept.take() {
             if let Ok(conns) = accept.join() {
                 for conn in conns {
@@ -518,19 +479,7 @@ fn process_request(inner: &ServerInner, line: &str) -> Outcome {
         )
     };
 
-    // Batchable ops go through the coalescing queue when it is open; the
-    // connection thread blocks on the fanned-back reply (still holding
-    // its admission slot, so queue_depth bounds batched work too). A
-    // submit that loses the race with drain falls back to inline
-    // execution — either way the same executor runs.
-    let reply = match try_submit_to_batch(inner, envelope, fault, deadline_ns) {
-        Ok(reply_rx) => reply_rx.recv().unwrap_or_else(|_| {
-            protocol::error_reply(id, error_kind::PANIC, "batch dispatcher failed")
-        }),
-        Err((envelope, fault)) => execute_envelope(inner, &envelope, fault, deadline_ns),
-    };
-
-    let mut bytes = reply.into_bytes();
+    let mut bytes = execute_envelope(inner, &envelope, fault, deadline_ns).into_bytes();
     if let Some(RequestFault::CorruptReply { mutations }) = fault {
         let mut rng = StdRng::seed_from_u64(inner.config.fault_seed).fork(request_index);
         tp_rng::prop::mutate_bytes(&mut rng, &mut bytes, mutations);
@@ -546,41 +495,9 @@ fn process_request(inner: &ServerInner, line: &str) -> Outcome {
     Outcome::Reply(bytes)
 }
 
-/// Whether an op is eligible for coalescing: the session-scoped math ops.
-/// Control-plane ops (register/reload/stats/…) always run inline.
-fn batchable(request: &Request) -> bool {
-    matches!(
-        request,
-        Request::Predict { .. } | Request::Slack { .. } | Request::MovePins { .. }
-    )
-}
-
-/// Tries to queue `envelope` for coalesced execution. Returns the reply
-/// receiver on success, or hands the envelope (and its fault) back for
-/// inline execution when batching is off, the op is not batchable, or
-/// the queue already closed for drain.
-fn try_submit_to_batch(
-    inner: &ServerInner,
-    envelope: Envelope,
-    fault: Option<RequestFault>,
-    deadline_ns: Option<u64>,
-) -> Result<std::sync::mpsc::Receiver<String>, (Envelope, Option<RequestFault>)> {
-    let queue = match &inner.batch {
-        Some(queue) if batchable(&envelope.request) => queue,
-        _ => return Err((envelope, fault)),
-    };
-    let (tx, rx) = std::sync::mpsc::channel();
-    match queue.submit(BatchItem { envelope, fault, deadline_ns, reply: tx }) {
-        Ok(()) => Ok(rx),
-        Err(item) => Err((item.envelope, item.fault)),
-    }
-}
-
 /// Runs one request through the full per-request machinery — injected
 /// sleep faults, panic isolation + session quarantine, EWMA cost
-/// recording, deadline accounting — and renders the reply line. The
-/// inline path and the batch executor both run exactly this function,
-/// which is what makes batched replies bit-identical to serial ones.
+/// recording, deadline accounting — and renders the reply line.
 fn execute_envelope(
     inner: &ServerInner,
     envelope: &Envelope,
@@ -638,95 +555,6 @@ fn execute_envelope(
                 }
             }
         }
-    }
-}
-
-/// Executes one coalesced batch. Items are grouped by design — each
-/// group's session serializes its items in arrival order exactly as
-/// serial execution would — and the groups fan out across the pool
-/// (nested tp-par regions run inline, so handlers using the pool for
-/// tensor math cannot deadlock the executor). Every reply is sent to the
-/// connection thread that submitted the item.
-fn execute_batch(inner: &ServerInner, items: Vec<BatchItem>) {
-    tp_obs::metrics::observe("serve.batch_size", items.len() as u64);
-    tp_obs::metrics::count("serve.batches", 1);
-    let mut by_design: BTreeMap<String, Vec<BatchItem>> = BTreeMap::new();
-    for item in items {
-        let key = target_design(&item.envelope.request)
-            .unwrap_or_default()
-            .to_string();
-        by_design.entry(key).or_default().push(item);
-    }
-    // BatchItem holds an mpsc Sender (Send, not Sync), so groups cross
-    // the pool behind per-group mutexes each worker takes exactly once.
-    let groups: Vec<Mutex<Vec<BatchItem>>> =
-        by_design.into_values().map(Mutex::new).collect();
-    tp_par::map_items(groups.len(), |g| {
-        let group = std::mem::take(&mut *groups[g].lock().unwrap_or_else(|p| p.into_inner()));
-        execute_group(inner, group);
-    });
-}
-
-/// The sharing key for a read-only query: identical fault-free
-/// `predict`/`slack` queries against one design are a single forward
-/// fanned back out per request. Writes (`move_pins`) and faulted items
-/// never share — faults are per-request and writes change session state.
-fn share_key(item: &BatchItem) -> Option<(u8, String)> {
-    if item.fault.is_some() {
-        return None;
-    }
-    match &item.envelope.request {
-        Request::Predict { design } => Some((0, design.clone())),
-        Request::Slack { design } => Some((1, design.clone())),
-        _ => None,
-    }
-}
-
-/// Runs one design group in arrival order, sharing execution across
-/// identical read-only queries. Pure reads between two writes can be
-/// clustered freely — they observe the same session state wherever they
-/// land in the segment — so each distinct `(op, design)` executes once
-/// and every duplicate's reply is the executed reply re-addressed to its
-/// own id (bit-identical to what its serial execution would render).
-fn execute_group(inner: &ServerInner, group: Vec<BatchItem>) {
-    let mut reads: Vec<((u8, String), BatchItem)> = Vec::new();
-    for item in group {
-        match share_key(&item) {
-            Some(key) => reads.push((key, item)),
-            None => {
-                // A write (or faulted item) delimits the segment: flush
-                // the reads that precede it, then run it in place.
-                flush_shared_reads(inner, &mut reads);
-                let reply =
-                    execute_envelope(inner, &item.envelope, item.fault, item.deadline_ns);
-                let _ = item.reply.send(reply);
-            }
-        }
-    }
-    flush_shared_reads(inner, &mut reads);
-}
-
-fn flush_shared_reads(inner: &ServerInner, reads: &mut Vec<((u8, String), BatchItem)>) {
-    let mut clusters: Vec<((u8, String), Vec<BatchItem>)> = Vec::new();
-    for (key, item) in reads.drain(..) {
-        match clusters.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, items)) => items.push(item),
-            None => clusters.push((key, vec![item])),
-        }
-    }
-    for (_, items) in clusters {
-        let mut items = items.into_iter();
-        let first = items.next().expect("clusters are non-empty");
-        let reply = execute_envelope(inner, &first.envelope, first.fault, first.deadline_ns);
-        let first_id = first.envelope.id;
-        for dup in items {
-            tp_obs::metrics::count("serve.batch_shared", 1);
-            inner.counters.served.fetch_add(1, Ordering::Relaxed);
-            let _ = dup
-                .reply
-                .send(protocol::readdress_reply(&reply, first_id, dup.envelope.id));
-        }
-        let _ = first.reply.send(reply);
     }
 }
 

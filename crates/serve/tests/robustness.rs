@@ -54,8 +54,6 @@ fn serve_config(queue_depth: usize, deadline_ms: u64, faults: FaultPlan) -> Serv
         queue_depth,
         deadline_ms,
         snapshot_dir: None,
-        batch_window_us: 0,
-        batch_max: 16,
         lib_seed: 0,
         model_config: small_config(),
         faults,

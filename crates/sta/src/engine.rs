@@ -15,19 +15,6 @@ use tp_route::{route_circuit, Routing};
 
 use crate::{StaConfig, TimingReport};
 
-/// The chunk plan the level sweeps group under when `TP_PARTITION_NODES`
-/// is positive; `None` when partitioning is off or degenerates to a
-/// single chunk (the sweeps then skip chunk spans entirely).
-fn sta_partition_plan(topology: &Topology) -> Option<tp_partition::PartitionPlan> {
-    let budget = tp_partition::partition_nodes();
-    if budget == 0 {
-        return None;
-    }
-    let graph = tp_partition::LevelGraph::from_level_sizes(topology.level_sizes());
-    let plan = tp_partition::PartitionPlan::by_max_nodes(&graph, budget);
-    (!plan.is_monolithic()).then_some(plan)
-}
-
 /// The STA engine: borrows a cell library and owns its constraints.
 #[derive(Debug, Clone)]
 pub struct StaEngine<'a> {
@@ -103,15 +90,9 @@ impl<'a> StaEngine<'a> {
         }
 
         // ---- forward propagation, level by level ----
-        //
-        // With a TP_PARTITION_NODES budget the walk is grouped into chunk
-        // spans for observability. STA state is flat arrays indexed by pin
-        // (nothing is released between chunks), so the grouping touches no
-        // arithmetic: every level runs the identical per-pin kernel in the
-        // identical order at any chunk size.
         {
             let _fwd_span = tp_obs::span!("sta.forward", pins = n);
-            let mut sweep = |level: &[tp_graph::PinId]| {
+            for level in topology.levels() {
                 tp_obs::metrics::count("sta.pins_propagated", level.len() as u64);
                 // Compute every pin of the level from the immutable
                 // lower-level state, then apply in level order; the cost
@@ -124,27 +105,6 @@ impl<'a> StaEngine<'a> {
                 );
                 for (&pin, update) in level.iter().zip(updates) {
                     apply_update(pin, update, &mut at, &mut slew, &mut cell_edge_delay);
-                }
-            };
-            match sta_partition_plan(topology) {
-                Some(pplan) => {
-                    pplan.publish("sta.partition");
-                    for (ci, chunk) in pplan.chunks().iter().enumerate() {
-                        let _chunk_span = tp_obs::span!(
-                            "sta.forward_chunk",
-                            chunk = ci,
-                            levels = chunk.levels.len(),
-                            nodes = chunk.nodes,
-                        );
-                        for l in chunk.levels.clone() {
-                            sweep(&topology.levels()[l]);
-                        }
-                    }
-                }
-                None => {
-                    for level in topology.levels() {
-                        sweep(level);
-                    }
                 }
             }
         }
@@ -194,9 +154,7 @@ impl<'a> StaEngine<'a> {
         // All fanout sinks sit at strictly higher levels, so walking the
         // levels in reverse sees only finalized sink RATs — the same
         // per-pin fold as a reverse topological order, level-parallel.
-        // Chunk grouping (when partitioned) mirrors the forward sweep:
-        // instrumentation only, chunks and levels walked in reverse.
-        let mut sweep_rat = |level: &[tp_graph::PinId]| {
+        for level in topology.levels().iter().rev() {
             let rows = tp_par::map_items_costed(&BWD_COST, level.len(), level.len() as u64, |i| {
                 self.compute_rat_pin(
                     circuit,
@@ -209,26 +167,6 @@ impl<'a> StaEngine<'a> {
             });
             for (&pin, row) in level.iter().zip(rows) {
                 rat[pin.index()] = row;
-            }
-        };
-        match sta_partition_plan(topology) {
-            Some(pplan) => {
-                for (ci, chunk) in pplan.chunks().iter().enumerate().rev() {
-                    let _chunk_span = tp_obs::span!(
-                        "sta.backward_chunk",
-                        chunk = ci,
-                        levels = chunk.levels.len(),
-                        nodes = chunk.nodes,
-                    );
-                    for l in chunk.levels.clone().rev() {
-                        sweep_rat(&topology.levels()[l]);
-                    }
-                }
-            }
-            None => {
-                for level in topology.levels().iter().rev() {
-                    sweep_rat(level);
-                }
             }
         }
 

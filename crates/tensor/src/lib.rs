@@ -54,7 +54,6 @@ pub mod pool;
 
 pub use autograd::{collect_grads, grad_enabled, no_grad};
 pub use error::TensorError;
-pub use ops::matmul::{gemm_tiles, set_gemm_tiles};
 pub use init::{kaiming_uniform, xavier_uniform};
 pub use shape::Shape;
 pub use tensor::Tensor;

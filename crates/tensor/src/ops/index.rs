@@ -61,77 +61,6 @@ impl Tensor {
         Tensor::from_op(out, Shape::new(&[rows, d]), vec![self.clone()], backward)
     }
 
-    /// Fused block assembly: equivalent to
-    /// `Tensor::concat_rows(parts).gather_rows(index)` — `out[i, :]` is row
-    /// `index[i]` of the virtual row-concatenation of `parts` — without
-    /// materializing the concatenated matrix or its gradient.
-    ///
-    /// This is the partitioned executor's state-assembly op: forward copies
-    /// and backward scatter-adds follow the exact element order of the
-    /// two-op form, so swapping it in changes no result bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty, parts disagree on column count, or any
-    /// index is out of bounds for the total row count.
-    pub fn assemble_rows(parts: &[&Tensor], index: &[usize]) -> Tensor {
-        assert!(!parts.is_empty(), "assemble_rows needs at least one part");
-        let d = parts[0].shape_obj().as_2d().1;
-        // offsets[p] = first virtual row of part p; sentinel total at the end
-        let mut offsets = Vec::with_capacity(parts.len() + 1);
-        let mut total = 0usize;
-        for p in parts {
-            let (r, pd) = p.shape_obj().as_2d();
-            assert_eq!(pd, d, "assemble_rows parts must share column count");
-            offsets.push(total);
-            total += r;
-        }
-        offsets.push(total);
-        let locate = |offsets: &[usize], r: usize| -> (usize, usize) {
-            let pi = offsets.partition_point(|&o| o <= r) - 1;
-            (pi, r - offsets[pi])
-        };
-        let n = index.len();
-        let mut out = crate::pool::take_zeroed(n * d);
-        {
-            let datas: Vec<_> = parts.iter().map(|p| p.data()).collect();
-            for (i, &r) in index.iter().enumerate() {
-                assert!(r < total, "assemble index {r} out of bounds for {total} rows");
-                let (pi, local) = locate(&offsets, r);
-                out[i * d..(i + 1) * d]
-                    .copy_from_slice(&datas[pi][local * d..(local + 1) * d]);
-            }
-        }
-        let idx: Arc<Vec<usize>> = Arc::new(index.to_vec());
-        let offs: Arc<Vec<usize>> = Arc::new(offsets);
-        let srcs: Vec<Tensor> = parts.iter().map(|&p| p.clone()).collect();
-        let parents = srcs.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
-            // Mirror the two-op backward bit-for-bit: scatter-add in
-            // ascending output-row order into zeroed per-part buffers,
-            // then accumulate each part once, in parts order.
-            let mut gparts: Vec<Option<Vec<f32>>> = srcs
-                .iter()
-                .map(|s| s.requires_grad().then(|| crate::pool::take_zeroed(s.numel())))
-                .collect();
-            for (i, &r) in idx.iter().enumerate() {
-                let (pi, local) = locate(&offs, r);
-                if let Some(gp) = gparts[pi].as_mut() {
-                    for j in 0..d {
-                        gp[local * d + j] += g[i * d + j];
-                    }
-                }
-            }
-            for (s, gp) in srcs.iter().zip(gparts) {
-                if let Some(gp) = gp {
-                    s.accumulate_grad(&gp);
-                    crate::pool::recycle(gp);
-                }
-            }
-        });
-        Tensor::from_op(out, Shape::new(&[n, d]), parents, backward)
-    }
-
     /// Segment sum: `out[s, :] = Σ_{i : segments[i] == s} self[i, :]`.
     ///
     /// `self` is `[E, D]`, the result is `[num_segments, D]`. Segments with
@@ -333,50 +262,5 @@ mod tests {
     fn gather_oob_panics() {
         let x = m(&[1., 2.], &[1, 2]);
         let _ = x.gather_rows(&[3]);
-    }
-
-    #[test]
-    fn assemble_rows_matches_concat_gather_bitwise() {
-        // Three uneven parts (one empty) and a permutation index — the
-        // partitioned executor's exact usage pattern.
-        let a = m(&[0.1, 0.2, 0.3, 0.4], &[2, 2]).with_grad();
-        let b = m(&[], &[0, 2]).with_grad();
-        let c = m(&[1.5, -2.5, 3.5, 4.5, 5.5, 6.5], &[3, 2]).with_grad();
-        let index = [3usize, 0, 4, 1, 2];
-        let weights = m(&[2., -1., 0.5, 3., -0.25, 1., 4., -2., 0.125, 7.], &[5, 2]);
-
-        let run = |fused: bool| {
-            a.zero_grad();
-            b.zero_grad();
-            c.zero_grad();
-            let out = if fused {
-                Tensor::assemble_rows(&[&a, &b, &c], &index)
-            } else {
-                Tensor::concat_rows(&[&a, &b, &c]).gather_rows(&index)
-            };
-            out.mul(&weights).sum().backward();
-            let bits = |v: Vec<f32>| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
-            (
-                bits(out.to_vec()),
-                bits(a.grad().unwrap()),
-                bits(c.grad().unwrap()),
-            )
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn assemble_rows_with_repeated_index_accumulates_like_gather() {
-        let a = m(&[1., 2.], &[1, 2]).with_grad();
-        let fused = Tensor::assemble_rows(&[&a], &[0, 0, 0]);
-        fused.sum().backward();
-        assert_eq!(a.grad().unwrap(), vec![3., 3.]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn assemble_rows_oob_panics() {
-        let a = m(&[1., 2.], &[1, 2]);
-        let _ = Tensor::assemble_rows(&[&a], &[1]);
     }
 }

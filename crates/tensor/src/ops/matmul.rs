@@ -1,8 +1,5 @@
 //! Dense matrix multiplication and 2-D transpose.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
 use crate::tensor::BackwardFn;
 use crate::{Shape, Tensor};
 
@@ -12,45 +9,10 @@ const DEFAULT_TILE_K: usize = 128;
 /// Default J (output-column) tile: 64 floats = 256 B per `b` row.
 const DEFAULT_TILE_J: usize = 64;
 
-/// Programmatic tile overrides (0 = fall back to env/default). Bench hook
-/// for the tile sweep; env knobs are `TP_GEMM_TILE_K` / `TP_GEMM_TILE_J`.
-static TILE_K_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static TILE_J_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-fn env_tile(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or(default)
-}
-
-/// The active `(tile_k, tile_j)` blocking of the gemm kernel. Tiling only
-/// regroups the cache traversal — per-element accumulation order is
-/// unchanged — so any tile size yields bit-identical products.
-pub fn gemm_tiles() -> (usize, usize) {
-    static ENV: OnceLock<(usize, usize)> = OnceLock::new();
-    let (env_k, env_j) = *ENV.get_or_init(|| {
-        (
-            env_tile("TP_GEMM_TILE_K", DEFAULT_TILE_K),
-            env_tile("TP_GEMM_TILE_J", DEFAULT_TILE_J),
-        )
-    });
-    let k = TILE_K_OVERRIDE.load(Ordering::Relaxed);
-    let j = TILE_J_OVERRIDE.load(Ordering::Relaxed);
-    (if k > 0 { k } else { env_k }, if j > 0 { j } else { env_j })
-}
-
-/// Overrides the gemm tile sizes (0 restores the env/default value).
-pub fn set_gemm_tiles(tile_k: usize, tile_j: usize) {
-    TILE_K_OVERRIDE.store(tile_k, Ordering::Relaxed);
-    TILE_J_OVERRIDE.store(tile_j, Ordering::Relaxed);
-}
-
 /// `out[m,n] += a[m,k] * b[k,n]`, blocked for cache: the column range is
-/// cut into `tile_j` bands and the inner dimension into `tile_k` panels,
-/// so the `tile_k × tile_j` panel of `b` stays L1-resident while every
-/// row of `a` streams across it.
+/// cut into [`DEFAULT_TILE_J`] bands and the inner dimension into
+/// [`DEFAULT_TILE_K`] panels, so one panel of `b` stays L1-resident while
+/// every row of `a` streams across it.
 ///
 /// Determinism: for a fixed output element `(i, j)` the contributions are
 /// added in ascending `p` — k-panels ascend and `p` ascends within each
@@ -61,13 +23,12 @@ fn gemm_rows(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let (tile_k, tile_j) = gemm_tiles();
     let mut j0 = 0;
     while j0 < n {
-        let j1 = (j0 + tile_j).min(n);
+        let j1 = (j0 + DEFAULT_TILE_J).min(n);
         let mut p0 = 0;
         while p0 < k {
-            let p1 = (p0 + tile_k).min(k);
+            let p1 = (p0 + DEFAULT_TILE_K).min(k);
             for i in 0..m {
                 let arow = &a[i * k..(i + 1) * k];
                 let orow = &mut out[i * n + j0..i * n + j1];
@@ -238,30 +199,26 @@ mod tests {
 
     #[test]
     fn tiled_gemm_is_bit_identical_to_straight_kernel() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (17, 129, 65), (5, 300, 2), (64, 64, 64)] {
+        // Shapes below, at and across both tile edges (k > 128, n > 64),
+        // including several panels and bands per row.
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 5, 7),
+            (64, 64, 64),
+            (5, 300, 2),
+            (17, 129, 65),
+            (4, 257, 193),
+        ] {
             let a = pseudo(m + n, m * k);
             let b = pseudo(k, k * n);
             let mut want = vec![0.0; m * n];
             gemm_ref(&a, &b, m, k, n, &mut want);
-            for &(tk, tj) in &[(1, 1), (2, 3), (7, 5), (128, 64), (4096, 4096)] {
-                super::set_gemm_tiles(tk, tj);
-                let mut got = vec![0.0; m * n];
-                super::gemm_rows(&a, &b, m, k, n, &mut got);
-                super::set_gemm_tiles(0, 0);
-                let wb: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
-                let gb: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(wb, gb, "tiles ({tk},{tj}) changed bits at {m}x{k}x{n}");
-            }
+            let mut got = vec![0.0; m * n];
+            super::gemm_rows(&a, &b, m, k, n, &mut got);
+            let wb: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+            let gb: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(wb, gb, "tiling changed bits at {m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    fn gemm_tile_overrides_and_env_defaults() {
-        super::set_gemm_tiles(33, 17);
-        assert_eq!(super::gemm_tiles(), (33, 17));
-        super::set_gemm_tiles(0, 0);
-        let (tk, tj) = super::gemm_tiles();
-        assert!(tk > 0 && tj > 0, "defaults must be positive");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Tier-2 full-scale smoke (`scripts/scale1.sh`): one benchmark generated
 //! at `TP_SCALE` (default 1.0 — the paper's real design sizes), run end to
-//! end **partitioned**: placement, routing + four-corner STA with chunked
-//! sweeps, then a streamed no-grad GNN forward with the paper-size model,
-//! all under a `TP_PARTITION_NODES` live-node budget. Writes
+//! end: placement, routing + four-corner STA, then a streamed no-grad GNN
+//! forward with the paper-size model under a `TP_PARTITION_NODES`
+//! live-node budget. Writes
 //! `run_report.json` to the working directory; the manifest records
 //! `peak_rss_bytes` (VmHWM), which the calling script asserts against a
 //! documented budget.

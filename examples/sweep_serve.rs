@@ -6,13 +6,12 @@
 //!    forward pass ([`prediction_evaluator`]), the reference;
 //! 2. **served** — each cell `register`s its design against a live
 //!    `tp-serve` instance over JSONL and streams a `slack` query through
-//!    it ([`serve_evaluator`]), with request batching enabled so
-//!    concurrent cells coalesce into shared dispatch windows.
+//!    it ([`serve_evaluator`]) on a default server.
 //!
 //! Then checks the streaming contract: the served journal and report are
 //! **byte-identical** to the in-process run's — moving the forward pass
-//! behind a socket (and batching it) must never change a single bit of
-//! the sweep artifacts. Also probes the registration cache: re-sending a
+//! behind a socket must never change a single bit of the sweep
+//! artifacts. Also probes the registration cache: re-sending a
 //! cell's `register` line must come back `"cached":true`.
 //!
 //! Run with: `cargo run --release --example sweep_serve`
@@ -68,15 +67,11 @@ fn main() -> ExitCode {
     .expect("in-process sweep");
     assert!(inproc.complete());
 
-    println!("[2/3] sweep streamed through a live server (batched)…");
+    println!("[2/3] sweep streamed through a live server…");
     let mut serve_config = ServeConfig::from_env(model_config.clone());
     serve_config.faults = FaultPlan::none();
     serve_config.snapshot_dir = None;
     serve_config.lib_seed = lib_seed;
-    // Coalesce aggressively so concurrent cells actually share windows;
-    // bit-identity must hold regardless.
-    serve_config.batch_window_us = 200;
-    serve_config.batch_max = 8;
     let server = Server::start(serve_config, TimingGnn::new(&model_config)).expect("bind");
     let addr = server.local_addr();
     let served = run_sweep(&grid, &config, &served_dir, serve_evaluator(addr))

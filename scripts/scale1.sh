@@ -3,7 +3,7 @@
 # a full-size design and takes noticeably longer than the tier-1 budget).
 #
 # Runs one benchmark end to end at TP_SCALE=1.0 with partitioned
-# execution (placement → routing → chunked four-corner STA → streamed
+# execution (placement → routing → four-corner STA → streamed
 # paper-size GNN forward), then asserts the run manifest's peak-RSS stays
 # under the documented budget. The budget (TP_RSS_BUDGET_MB, default
 # 1024 MiB) is the memory contract for full-scale single-design runs on a

@@ -36,19 +36,10 @@ cargo test -q --offline --release --test scenarios
 
 echo "== tier1: partitioned-execution suite (release) =="
 cargo test -q -p tp-partition --offline --release
-# Bit-identity of partitioned vs monolithic execution — the tp-partition
-# contract — across chunk budgets and thread counts, GNN and STA.
+# Bit-identity under a partition budget vs monolithic execution — the
+# tp-partition contract — across chunk budgets and thread counts: streamed
+# GNN inference, training and STA.
 cargo test -q --offline --release --test partition
-
-echo "== tier1: partitioned training smoke (TP_SCALE=0.05 example) =="
-# The training example, chunked: the whole fit must run under a live-node
-# budget and still converge to a finite loss. Exercises the pooled
-# allocator and the partitioned grad path end to end.
-if ! TP_PARTITION_NODES=4096 \
-    cargo run -q --offline --release --example train_slack 0.05 2 >/dev/null; then
-    echo "tier1: FAIL — partitioned training smoke did not complete" >&2
-    exit 1
-fi
 
 echo "== tier1: serving suite (release) =="
 cargo test -q -p tp-serve --offline --release
@@ -56,11 +47,11 @@ cargo test -q -p tp-serve --offline --release --test fuzz_codec
 cargo test -q -p tp-serve --offline --release --test robustness
 cargo test -q --offline --release --test serve
 
-echo "== tier1: batching equivalence suite (release, both pool widths) =="
-# Coalesced replies must be bit-identical to serial ones at every batch
-# window and thread count — the batching determinism contract.
-TP_THREADS=1 cargo test -q -p tp-serve --offline --release --test batching
-TP_THREADS=4 cargo test -q -p tp-serve --offline --release --test batching
+echo "== tier1: concurrency equivalence suite (release, both pool widths) =="
+# Replies to concurrent clients must be bit-identical to serial ones at
+# every thread count — the serving determinism contract.
+TP_THREADS=1 cargo test -q -p tp-serve --offline --release --test concurrency
+TP_THREADS=4 cargo test -q -p tp-serve --offline --release --test concurrency
 
 echo "== tier1: serve loopback smoke (example, scratch dir) =="
 # Boot a real server on an ephemeral port and drive the full lifecycle —
@@ -88,8 +79,8 @@ fi
 rm -rf "$SWEEP_SCRATCH"
 
 echo "== tier1: sweep-through-serve smoke (example, scratch dir) =="
-# The same grid evaluated in-process and streamed through a live batched
-# server over JSONL; exits nonzero unless journal and report come back
+# The same grid evaluated in-process and streamed through a live server
+# over JSONL; exits nonzero unless journal and report come back
 # byte-identical — the serve-streaming contract, exercised end to end.
 SERVE_SWEEP_SCRATCH="$(mktemp -d)"
 if ! TP_SWEEP_OUT="$SERVE_SWEEP_SCRATCH/demo" \
@@ -133,6 +124,17 @@ if sed -n '/^\[dependencies\]/,$p' crates/partition/Cargo.toml \
     | grep -E '^[a-z0-9_-]+ *=' | grep -v '^tp-[a-z-]* *= *{ *workspace = true' \
     | grep -v '^tp-[a-z-]*\.workspace *= *true'; then
     echo "tier1: FAIL — non-workspace dependency in tp-partition above" >&2
+    exit 1
+fi
+
+echo "== tier1: deleted knobs stay deleted =="
+# Request batching and the gemm tile overrides were removed for want of a
+# measured win; their knobs must not creep back into code, scripts or docs.
+# The filter skips the guard's own pattern line (the only `if grep -rnE`).
+if grep -rnE 'TP_BATCH_WINDOW_US|TP_BATCH_MAX|TP_GEMM_TILE_K|TP_GEMM_TILE_J' \
+    crates src examples tests scripts README.md \
+    | grep -v '^scripts/tier1\.sh:[0-9]*:if grep -rnE '; then
+    echo "tier1: FAIL — a deleted knob is referenced above" >&2
     exit 1
 fi
 

@@ -81,8 +81,6 @@ fn server_survives_compound_seeded_faults() {
         queue_depth: 1,
         deadline_ms: 30_000,
         snapshot_dir: None,
-        batch_window_us: 0,
-        batch_max: 16,
         lib_seed: 0,
         model_config: small_config(),
         faults,
@@ -181,8 +179,6 @@ fn served_incremental_eco_matches_offline_full_forward() {
         queue_depth: 8,
         deadline_ms: 30_000,
         snapshot_dir: None,
-        batch_window_us: 0,
-        batch_max: 16,
         lib_seed: 0,
         model_config: small_config(),
         faults: FaultPlan::none(),
